@@ -19,18 +19,20 @@ escape features:
   ``tolerance`` of overall performance, which lets the search walk out
   of shallow local optima (the paper's "we do not insist improvement");
 * parallel searches from multiple random starts share the evaluator's
-  cache (:func:`hybrid_search` takes a list of starts).
+  cache (:func:`hybrid_search` takes a list of starts) and advance in
+  lockstep rounds: each round evaluates every live walk's next requests
+  together, in a few wide batches, and every walk takes the same path
+  it would take alone.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Generator, Mapping
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..errors import SearchError
-from .evaluator import ScheduleEvaluator, evaluate_many
+from .evaluator import ScheduleEvaluation, ScheduleEvaluator, evaluate_many
 from .results import SearchResult, SearchTrace
 from .schedule import PeriodicSchedule
 
@@ -49,41 +51,36 @@ class HybridOptions:
             raise SearchError(f"max_steps must be >= 1, got {self.max_steps}")
 
 
-def random_feasible_start(
-    feasible: list[PeriodicSchedule], rng: np.random.Generator
-) -> PeriodicSchedule:
-    """Pick a random start from the idle-feasible space."""
-    if not feasible:
-        raise SearchError("the idle-feasible schedule space is empty")
-    return feasible[int(rng.integers(0, len(feasible)))]
+#: Most schedules one engine batch of a lockstep round holds.  A round
+#: fuses every walk's requests, and the lockstep design kernel's peak
+#: memory grows with batch width: on the case study searched from 48
+#: starts, unbounded rounds raised peak RSS by 12.5% over one walk at a
+#: time, widths 24 / 16 / 12 by 6.1 / 3.6 / 2.5-2.9%, at the same speed.
+_ROUND_BATCH = 12
+
+_Walk = Generator[
+    list[PeriodicSchedule], Mapping[tuple[int, ...], ScheduleEvaluation], None
+]
 
 
-def _run_single(
-    evaluator: ScheduleEvaluator,
-    idle_feasible_fn,
-    start: PeriodicSchedule,
-    options: HybridOptions,
-) -> SearchTrace:
-    """One gradient walk from ``start``; returns its trace."""
-    requested: set[tuple[int, ...]] = set()
+def _walk(trace: SearchTrace, idle_feasible_fn, options: HybridOptions) -> _Walk:
+    """One gradient walk from ``trace.start``, as a coroutine.
 
-    def value(schedule: PeriodicSchedule) -> float:
-        requested.add(schedule.counts)
-        return evaluator.evaluate(schedule).overall
-
-    if not idle_feasible_fn(start):
-        raise SearchError(f"start schedule {start} violates the idle-time bound")
-
-    trace = SearchTrace(start=start)
+    Yields the schedules it needs evaluated next and is sent back a
+    mapping (counts -> evaluation) that holds them; records its path and
+    evaluation count in ``trace``.
+    """
+    start = trace.start
+    requested = {start.counts}
+    evaluations = yield [start]
     current = start
-    current_value = value(current)
+    current_value = evaluations[start.counts].overall
     trace.path.append((current, current_value))
     visited = {current.counts}
 
     for _ in range(options.max_steps):
-        # Collect the idle-feasible +-1 neighbors of every dimension and
-        # submit them as ONE batch: the 2n model evaluations of a step
-        # are independent, so the engine can fan them out to workers.
+        # Request the idle-feasible +-1 neighbors of every dimension
+        # together: the 2n model evaluations of a step are independent.
         dim_neighbors: list[tuple[PeriodicSchedule | None, PeriodicSchedule | None]] = []
         batch: list[PeriodicSchedule] = []
         for dim in range(current.n_apps):
@@ -96,16 +93,13 @@ def _run_single(
             dim_neighbors.append((plus, minus))
             batch.extend(n for n in (plus, minus) if n is not None)
         requested.update(n.counts for n in batch)
-        batch_evaluations = evaluate_many(evaluator, batch)
-        neighbor_values = {
-            n.counts: e.overall for n, e in zip(batch, batch_evaluations)
-        }
+        evaluations = yield batch
 
         # Build the n per-dimension quadratic models.
         gradients: list[float | None] = []
         for plus, minus in dim_neighbors:
-            v_plus = neighbor_values[plus.counts] if plus is not None else None
-            v_minus = neighbor_values[minus.counts] if minus is not None else None
+            v_plus = evaluations[plus.counts].overall if plus is not None else None
+            v_minus = evaluations[minus.counts].overall if minus is not None else None
             if v_plus is not None and v_minus is not None:
                 gradients.append((v_plus - v_minus) / 2.0)
             elif v_plus is not None:
@@ -120,18 +114,16 @@ def _run_single(
         for dim, gradient in enumerate(gradients):
             if gradient is None:
                 continue
-            for sign in (+1, -1):
-                target = current.neighbor(dim, sign)
-                if target is None or target.counts not in neighbor_values:
-                    continue
-                candidates.append((sign * gradient, target))
+            for sign, target in zip((+1, -1), dim_neighbors[dim]):
+                if target is not None:
+                    candidates.append((sign * gradient, target))
         candidates.sort(key=lambda item: item[0], reverse=True)
 
         moved = False
         for _rate, target in candidates:
             if target.counts in visited:
                 continue
-            target_eval = evaluator.evaluate(target)
+            target_eval = evaluations[target.counts]
             if not target_eval.feasible:
                 continue  # eq. (3)/(4) violated: next-best direction
             accept = (
@@ -149,7 +141,24 @@ def _run_single(
             break
 
     trace.n_evaluations = len(requested)
-    return trace
+
+
+def _evaluate_round(
+    evaluator: ScheduleEvaluator,
+    requests: list[PeriodicSchedule],
+    evaluations: dict[tuple[int, ...], ScheduleEvaluation],
+) -> None:
+    """Evaluate the round's not-yet-held requests into ``evaluations``.
+
+    Duplicates go once, in first-seen order, in engine batches of at
+    most :data:`_ROUND_BATCH` schedules.
+    """
+    fresh = [s for s in dict.fromkeys(requests) if s.counts not in evaluations]
+    for lo in range(0, len(fresh), _ROUND_BATCH):
+        chunk = fresh[lo : lo + _ROUND_BATCH]
+        evaluations.update(
+            zip((s.counts for s in chunk), evaluate_many(evaluator, chunk))
+        )
 
 
 def hybrid_search(
@@ -181,14 +190,34 @@ def hybrid_search(
     if not starts:
         raise SearchError("need at least one start schedule")
     options = options or HybridOptions()
-    traces = [
-        _run_single(evaluator, idle_feasible_fn, start, options)
-        for start in starts
-    ]
+    for start in starts:
+        if not idle_feasible_fn(start):
+            raise SearchError(f"start schedule {start} violates the idle-time bound")
+
+    # Advance all walks in lockstep rounds: every live walk's request of
+    # a round is evaluated together, then each walk takes its next step.
+    # A walk reads only evaluations, which do not depend on the batch
+    # that computed them, so it takes the same path as it would alone.
+    traces = [SearchTrace(start=start) for start in starts]
+    pending: dict[_Walk, list[PeriodicSchedule]] = {}
+    for trace in traces:
+        walk = _walk(trace, idle_feasible_fn, options)
+        pending[walk] = next(walk)
+    evaluations: dict[tuple[int, ...], ScheduleEvaluation] = {}
+    while pending:
+        _evaluate_round(
+            evaluator, [s for batch in pending.values() for s in batch], evaluations
+        )
+        for walk in list(pending):
+            try:
+                pending[walk] = walk.send(evaluations)
+            except StopIteration:
+                del pending[walk]
+
     best_eval = None
     for trace in traces:
         for schedule, _v in trace.path:
-            candidate = evaluator.evaluate(schedule)
+            candidate = evaluations[schedule.counts]
             if not candidate.feasible:
                 continue
             if best_eval is None or candidate.overall > best_eval.overall:

@@ -1,9 +1,15 @@
 """Tests for the hybrid gradient/annealing search (paper Section IV)."""
 
+import itertools
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SearchError
 from repro.sched import HybridOptions, PeriodicSchedule, hybrid_search
+from repro.sched.hybrid import _ROUND_BATCH
 
 from .fakes import FakeEvaluator, box_feasible, concave_peak
 
@@ -134,3 +140,197 @@ class TestTolerance:
     def test_negative_tolerance_rejected(self):
         with pytest.raises(SearchError):
             HybridOptions(tolerance=-0.1)
+
+
+# ---------------------------------------------------------------------------
+# Lockstep rounds vs the sequential walk
+# ---------------------------------------------------------------------------
+
+
+def _sequential_walk(evaluator, idle_feasible_fn, start, options):
+    """The hybrid walk as it ran before lockstep rounds: one start at a
+    time, every value fetched from the (caching) evaluator on demand.
+    Kept verbatim as the reference oracle."""
+    requested = set()
+
+    def value(schedule):
+        requested.add(schedule.counts)
+        return evaluator.evaluate(schedule).overall
+
+    if not idle_feasible_fn(start):
+        raise SearchError(f"start schedule {start} violates the idle-time bound")
+
+    trace_path = []
+    current = start
+    current_value = value(current)
+    trace_path.append((current, current_value))
+    visited = {current.counts}
+
+    for _ in range(options.max_steps):
+        dim_neighbors = []
+        batch = []
+        for dim in range(current.n_apps):
+            plus = current.neighbor(dim, +1)
+            minus = current.neighbor(dim, -1)
+            if plus is not None and not idle_feasible_fn(plus):
+                plus = None
+            if minus is not None and not idle_feasible_fn(minus):
+                minus = None
+            dim_neighbors.append((plus, minus))
+            batch.extend(n for n in (plus, minus) if n is not None)
+        requested.update(n.counts for n in batch)
+        neighbor_values = {n.counts: evaluator.evaluate(n).overall for n in batch}
+
+        gradients = []
+        for plus, minus in dim_neighbors:
+            v_plus = neighbor_values[plus.counts] if plus is not None else None
+            v_minus = neighbor_values[minus.counts] if minus is not None else None
+            if v_plus is not None and v_minus is not None:
+                gradients.append((v_plus - v_minus) / 2.0)
+            elif v_plus is not None:
+                gradients.append(v_plus - current_value)
+            elif v_minus is not None:
+                gradients.append(current_value - v_minus)
+            else:
+                gradients.append(None)
+
+        candidates = []
+        for dim, gradient in enumerate(gradients):
+            if gradient is None:
+                continue
+            for sign in (+1, -1):
+                target = current.neighbor(dim, sign)
+                if target is None or target.counts not in neighbor_values:
+                    continue
+                candidates.append((sign * gradient, target))
+        candidates.sort(key=lambda item: item[0], reverse=True)
+
+        moved = False
+        for _rate, target in candidates:
+            if target.counts in visited:
+                continue
+            target_eval = evaluator.evaluate(target)
+            if not target_eval.feasible:
+                continue
+            accept = (
+                not math.isfinite(current_value)
+                or target_eval.overall >= current_value - options.tolerance
+            )
+            if accept:
+                current = target
+                current_value = target_eval.overall
+                trace_path.append((current, current_value))
+                visited.add(current.counts)
+                moved = True
+                break
+        if not moved:
+            break
+    return trace_path, len(requested)
+
+
+def _sequential_search(evaluator, starts, idle_feasible_fn, options):
+    """(best counts, best value, [(path, n_evaluations)]) of the
+    sequential multi-start search, or its ``SearchError`` message."""
+    try:
+        walks = [
+            _sequential_walk(evaluator, idle_feasible_fn, start, options)
+            for start in starts
+        ]
+    except SearchError as exc:
+        return str(exc)
+    best = None
+    for path, _n in walks:
+        for schedule, _v in path:
+            candidate = evaluator.evaluate(schedule)
+            if candidate.feasible and (best is None or candidate.overall > best.overall):
+                best = candidate
+    if best is None:
+        return "no feasible schedule found from any start"
+    return best.schedule.counts, best.overall, walks
+
+
+class BatchRecordingEvaluator(FakeEvaluator):
+    """A fake with a batch entry point that records every batch."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.batches = []
+
+    def evaluate_batch(self, schedules):
+        self.batches.append([s.counts for s in schedules])
+        return [self.evaluate(s) for s in schedules]
+
+
+@st.composite
+def landscapes(draw):
+    """A random objective table on a small box, settling-infeasible and
+    idle-infeasible sets, a tolerance, a step limit and start lists
+    (duplicates allowed, sometimes an idle-infeasible start)."""
+    n_apps = draw(st.integers(1, 3))
+    limit = draw(st.integers(1, 5))
+    box = list(itertools.product(range(1, limit + 1), repeat=n_apps))
+    # Coarse levels make ties (equal gradients) common; -inf is an
+    # unscorable design.
+    level = st.one_of(
+        st.integers(0, 8).map(lambda k: k / 8), st.just(-math.inf)
+    )
+    table = {counts: draw(level) for counts in box}
+    settling_bad = draw(st.sets(st.sampled_from(box), max_size=len(box) // 3))
+    idle_bad = draw(st.sets(st.sampled_from(box), max_size=len(box) // 3))
+    point = st.sampled_from(box)
+    starts = draw(st.lists(point, min_size=1, max_size=12))
+    if draw(st.booleans()):
+        starts += draw(st.lists(st.sampled_from(starts), max_size=4))
+    options = HybridOptions(
+        tolerance=draw(st.sampled_from([0.0, 0.1, 0.25, 0.5])),
+        max_steps=draw(st.integers(1, 10)),
+    )
+    return table, settling_bad, idle_bad, starts, options
+
+
+class TestLockstepMatchesSequential:
+    @given(landscapes())
+    @settings(max_examples=300, deadline=None)
+    def test_same_result_paths_and_counts(self, problem):
+        table, settling_bad, idle_bad, starts, options = problem
+
+        def objective(counts):
+            return table.get(counts, 0.0)
+
+        def feasible(counts):
+            return counts not in settling_bad
+
+        def idle_ok(schedule):
+            return schedule.counts in table and schedule.counts not in idle_bad
+
+        schedules = [PeriodicSchedule(counts) for counts in starts]
+        expected = _sequential_search(
+            FakeEvaluator(objective, feasible), schedules, idle_ok, options
+        )
+        evaluator = BatchRecordingEvaluator(objective, feasible)
+        if isinstance(expected, str):
+            with pytest.raises(SearchError) as excinfo:
+                hybrid_search(evaluator, schedules, idle_ok, options)
+            assert str(excinfo.value) == expected
+        else:
+            result = hybrid_search(evaluator, schedules, idle_ok, options)
+            best_counts, best_value, walks = expected
+            assert result.best_schedule.counts == best_counts
+            assert result.best_value == best_value
+            assert len(result.traces) == len(walks)
+            for trace, start, (path, n_evaluations) in zip(
+                result.traces, schedules, walks
+            ):
+                assert trace.start == start
+                assert trace.path == path
+                assert trace.n_evaluations == n_evaluations
+            assert result.n_evaluations == sum(n for _p, n in walks)
+        assert all(len(batch) <= _ROUND_BATCH for batch in evaluator.batches)
+        submitted = [counts for batch in evaluator.batches for counts in batch]
+        assert len(submitted) == len(set(submitted))
+
+    def test_idle_infeasible_start_among_many_raises(self):
+        evaluator = BatchRecordingEvaluator(concave_peak((2, 2, 2)))
+        starts = [PeriodicSchedule.of(1, 1, 1), PeriodicSchedule.of(9, 9, 9)]
+        with pytest.raises(SearchError, match="idle-time bound"):
+            hybrid_search(evaluator, starts, feasible_fn(3))

@@ -15,6 +15,9 @@ from repro.apps import build_case_study
 from repro.errors import ScheduleError
 from repro.sched import PeriodicSchedule, ScheduleEvaluator
 from repro.sched.engine.backends import SerialBackend, split_chunks
+from repro.sched.feasibility import enumerate_idle_feasible
+from repro.sched.hybrid import _ROUND_BATCH
+from repro.sched.timing import derive_timing
 
 
 def _assert_batches_identical(serial, vectorized):
@@ -117,12 +120,19 @@ class TestBatchEdgeCases:
 
     def test_non_uniform_horizon_lengths(self, case, tiny_design_options):
         """Schedules with very different periods (and thus simulation
-        horizons) fuse into one batch without cross-talk."""
+        horizons) fuse into one batch without cross-talk — at the full
+        width of a hybrid-search round batch, from the shortest to the
+        longest hyperperiod of the idle-feasible space."""
         serial, vectorized = _pair(case, tiny_design_options)
-        schedules = [
-            PeriodicSchedule(counts)
-            for counts in [(1, 1, 1), (3, 1, 2), (1, 3, 1), (2, 2, 3)]
-        ]
+        wcets = [app.wcets for app in case.apps]
+        space = sorted(
+            enumerate_idle_feasible(case.apps, case.clock),
+            key=lambda s: derive_timing(s, wcets, case.clock).hyperperiod,
+        )
+        picks = np.linspace(0, len(space) - 1, _ROUND_BATCH).round().astype(int)
+        schedules = [space[i] for i in picks]
+        assert len(set(schedules)) == _ROUND_BATCH
+        assert schedules[0] == space[0] and schedules[-1] == space[-1]
         _assert_batches_identical(
             serial.evaluate_batch(schedules),
             vectorized.evaluate_batch(schedules),
