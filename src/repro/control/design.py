@@ -268,28 +268,40 @@ class _GainEvaluator:
         }
 
 
-def _continuous_poles(theta: np.ndarray, order: int) -> np.ndarray:
-    """Map stage-A parameters to ``order`` continuous-time poles.
+def _continuous_poles_batch(thetas: np.ndarray, order: int) -> np.ndarray:
+    """Map rows of stage-A parameters ``(N, d)`` to continuous poles ``(N, order)``.
 
-    ``theta`` holds (wn, zeta) per complex pair followed by one decay
-    rate per leftover real pole.
+    Each row holds (wn, zeta) per pole pair followed by one decay rate
+    for a leftover real pole.  A pair is ``-zeta wn +- j wn sqrt(1 - zeta^2)``
+    below critical damping and ``-zeta wn +- wn sqrt(zeta^2 - 1)`` from
+    it on; both use ``|zeta^2 - 1|``, which rounds to the same value as
+    ``1 - zeta^2`` because IEEE subtraction is sign-symmetric.
     """
-    poles = np.empty(order, dtype=complex)
-    n_pairs = order // 2
-    for i in range(n_pairs):
-        wn = theta[2 * i]
-        zeta = theta[2 * i + 1]
-        if zeta < 1.0:
-            wd = wn * math.sqrt(1.0 - zeta * zeta)
-            poles[2 * i] = complex(-zeta * wn, wd)
-            poles[2 * i + 1] = complex(-zeta * wn, -wd)
-        else:
-            spread = wn * math.sqrt(zeta * zeta - 1.0)
-            poles[2 * i] = complex(-zeta * wn + spread, 0.0)
-            poles[2 * i + 1] = complex(-zeta * wn - spread, 0.0)
+    thetas = np.asarray(thetas, dtype=float)
+    n_rows = thetas.shape[0]
+    end = 2 * (order // 2)
+    real = np.empty((n_rows, order))
+    imag = np.zeros((n_rows, order))
+    wn = thetas[:, 0:end:2]
+    zeta = thetas[:, 1:end:2]
+    center = -zeta * wn
+    offset = wn * np.sqrt(np.abs(zeta * zeta - 1.0))
+    under = zeta < 1.0
+    real[:, 0:end:2] = np.where(under, center, center + offset)
+    real[:, 1:end:2] = np.where(under, center, center - offset)
+    imag[:, 0:end:2] = np.where(under, offset, 0.0)
+    imag[:, 1:end:2] = np.where(under, -offset, 0.0)
     if order % 2:
-        poles[-1] = complex(-theta[-1], 0.0)
+        real[:, -1] = -thetas[:, -1]
+    poles = np.empty((n_rows, order), dtype=complex)
+    poles.real = real
+    poles.imag = imag
     return poles
+
+
+def _continuous_poles(theta: np.ndarray, order: int) -> np.ndarray:
+    """:func:`_continuous_poles_batch` for one parameter vector."""
+    return _continuous_poles_batch(np.asarray(theta)[None, :], order)[0]
 
 
 class _StageA:

@@ -19,10 +19,19 @@ same order: every BLAS/LAPACK call is issued with the same shapes the
 serial path uses (per-unit ``(P, l)`` blocks, stacked gufunc batches
 whose per-slice kernels match the serial calls), element-wise work is
 fused across units (single-rounded IEEE ops are shape-independent), and
-``np.poly``'s convolution recurrence is re-issued per particle rather
-than re-derived (its complex FMA kernel is length-dependent).  On any
-one machine the two paths therefore agree bit-for-bit; tests assert
-exact equality, not tolerances.
+the two steps of stage A that are not a single BLAS or ufunc call —
+the continuous poles of a parameter vector and the characteristic
+polynomial of a pole set — are shared helpers that the serial path
+calls with a batch of one.  The polynomial helper evaluates
+``np.poly``'s convolution recurrence element-wise: each output of
+``np.convolve(a, [1, -z])`` is a complex dot product against
+``(-z, 1 + 0j)``, and since every product in it except ``a' (-z)``
+has a factor of exactly 1 or 0, the dot kernel's fused multiply-adds
+reduce to separately rounded operations that element-wise NumPy
+arithmetic reproduces (see
+:func:`repro.control.ackermann._poly_recurrence`).  On any one machine
+the two paths therefore agree bit-for-bit; tests assert exact equality,
+not tolerances.
 """
 
 from __future__ import annotations
@@ -33,12 +42,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ControlError, DesignInfeasibleError
-from .ackermann import controllability_matrix
+from .ackermann import _real_coefficients_batch, controllability_matrix
 from .design import (
     ControllerDesign,
     DesignOptions,
     TrackingSpec,
-    _continuous_poles,
+    _continuous_poles_batch,
     _GainEvaluator,
     _StageA,
     design_controller,
@@ -60,24 +69,8 @@ class DesignRequest:
     options: DesignOptions
 
 
-def _poly_from_roots(roots: np.ndarray, cast_real: bool) -> np.ndarray:
-    """``np.poly(roots)`` minus its dispatch overhead.
-
-    Re-issues the exact convolution recurrence ``np.poly`` runs (the
-    complex convolve kernel is length-dependent, so it must be *called*,
-    not re-derived); the conjugate-closure test deciding ``cast_real``
-    is hoisted to the caller, where it batches across particles.
-    """
-    a = np.ones((1,), dtype=complex)
-    for zero in roots:
-        a = np.convolve(a, np.array([1, -zero], dtype=complex), mode="full")
-    if cast_real:
-        a = a.real.copy()
-    return a
-
-
 class _SegmentPlacer:
-    """Hoisted Ackermann placement for one (unit, segment).
+    """Hoisted Ackermann constants for one (unit, segment).
 
     Everything in :func:`place_poles_siso` that does not depend on the
     pole targets — the controllability matrix, its conditioning test,
@@ -90,80 +83,124 @@ class _SegmentPlacer:
         b = np.asarray(segment.b1 + segment.b2, dtype=float).reshape(-1)
         self.h = segment.h
         order = a.shape[0]
-        self.order = order
         ctrb = controllability_matrix(a, b)
         scale = np.abs(ctrb).max()
         self.uncontrollable = bool(
             scale == 0 or 1.0 / np.linalg.cond(ctrb) < rcond
         )
+        # Zero placeholders keep uncontrollable segments stackable; their
+        # particles are all marked bad.
+        self.powers = np.zeros((order + 1, order, order))
+        self.k_solve = np.zeros(order)
         if self.uncontrollable:
             return
         # Powers eye, A, A^2, ... exactly as the serial phi(A) loop
         # generates them (eye @ A, then repeated right-multiplication).
-        powers = [np.eye(order)]
-        for _ in range(order):
-            powers.append(powers[-1] @ a)
-        self.powers = powers
+        self.powers[0] = np.eye(order)
+        for i in range(order):
+            self.powers[i + 1] = self.powers[i] @ a
         last_row = np.zeros(order)
         last_row[-1] = 1.0
         self.k_solve = np.linalg.solve(ctrb.T, last_row)
 
-    def place_batch(self, desired: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Gain rows ``(P, l)`` for pole sets ``(P, l)``; returns ``(k, bad)``."""
-        n_batch, order = desired.shape
-        bad = np.zeros(n_batch, dtype=bool)
-        if self.uncontrollable:
-            bad[:] = True
-            return np.zeros((n_batch, order)), bad
-        sorted_roots = np.sort(desired, axis=1)
-        sorted_conj = np.sort(desired.conjugate(), axis=1)
-        cast_real = np.all(sorted_roots == sorted_conj, axis=1)
-        coefficients = np.empty((n_batch, order + 1))
-        for p in range(n_batch):
-            coeffs = _poly_from_roots(desired[p], bool(cast_real[p]))
-            if np.iscomplexobj(coeffs):
-                if np.abs(coeffs.imag).max() > 1e-8 * max(
-                    1.0, np.abs(coeffs).max()
-                ):
-                    bad[p] = True
-                    coefficients[p] = 0.0
-                    continue
-                coeffs = coeffs.real
-            coefficients[p] = coeffs
-        phi = np.zeros((n_batch, order, order))
-        for i, power in enumerate(self.powers):
-            phi += coefficients[:, order - i, None, None] * power[None, :, :]
+
+class _PlacementGroup:
+    """Stacked stage-A pole placement across units of one plant order.
+
+    Every (unit, segment, particle) triple is one row: the continuous
+    poles of all particles, their discrete images ``exp(s h)``, the
+    characteristic coefficients (through the same helper the serial
+    :func:`place_poles_siso` uses), ``phi(A)`` in the serial power order
+    and one stacked ``k_solve @ phi`` product whose per-slice kernel is
+    the serial vector-matrix call.
+    """
+
+    def __init__(self, stage_as: list[_StageA], unit_indices: list[int]) -> None:
+        self.unit_indices = unit_indices
+        self.order = stage_as[0].order
+        self.m_list = [stage_a.m for stage_a in stage_as]
+        offsets = [0]
+        for m in self.m_list:
+            offsets.append(offsets[-1] + m)
+        self.offsets = offsets
+        placers = [
+            _SegmentPlacer(seg)
+            for stage_a in stage_as
+            for seg in stage_a.evaluator.segments
+        ]
+        # Unit owning each flat segment, for gathering its particles' poles.
+        self.segment_unit = np.repeat(np.arange(len(stage_as)), self.m_list)
+        self.h = np.array([placer.h for placer in placers])[:, None, None]
+        self.uncontrollable = np.array(
+            [placer.uncontrollable for placer in placers]
+        )[:, None]
+        self.powers = np.stack([placer.powers for placer in placers])
+        self.k_solve = np.stack([placer.k_solve for placer in placers])
+
+    def run(self, thetas: list[np.ndarray], gains_out: list, bad_out: list) -> None:
+        n_batch = thetas[0].shape[0]
+        poles = _continuous_poles_batch(np.concatenate(thetas), self.order)
+        poles = poles.reshape(len(thetas), n_batch, self.order)
+        placed, bad = self.place(np.exp(poles[self.segment_unit] * self.h))
+        for u, lo in enumerate(self.offsets[:-1]):
+            hi = lo + self.m_list[u]
+            unit_bad = bad[lo:hi].any(axis=0)
+            gains = placed[lo:hi].transpose(1, 0, 2).copy()
+            gains[unit_bad] = 0.0
+            gains_out[self.unit_indices[u]] = gains
+            bad_out[self.unit_indices[u]] = unit_bad
+
+    def place(self, desired: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Gain rows ``(S, P, l)`` for discrete pole sets ``(S, P, l)``.
+
+        ``S`` runs over the group's flat segments.  Returns the rows and
+        the ``(S, P)`` mask of placements the serial path rejects.
+        """
+        order = self.order
+        n_segments, n_batch = desired.shape[:2]
+        coefficients, bad = _real_coefficients_batch(
+            desired.reshape(n_segments * n_batch, order)
+        )
+        coefficients = coefficients.reshape(n_segments, n_batch, order + 1)
+        bad = bad.reshape(n_segments, n_batch) | self.uncontrollable
+        # phi(A) = A^l + c_1 A^{l-1} + ... + c_l I, summed from c_l I up.
+        phi = np.zeros((n_segments, n_batch, order, order))
+        for i in range(order + 1):
+            phi += (
+                coefficients[:, :, order - i, None, None]
+                * self.powers[:, None, i, :, :]
+            )
         k_rows = np.ascontiguousarray(
-            np.broadcast_to(self.k_solve, (n_batch, order))
+            np.broadcast_to(
+                self.k_solve[:, None, None, :], (n_segments, n_batch, 1, order)
+            )
         )
-        placed = np.matmul(k_rows[:, None, :], phi)[:, 0, :]
-        return -placed, bad
+        return -np.matmul(k_rows, phi)[:, :, 0, :], bad
 
 
-class _BatchedStageA:
-    """Stacked twin of ``_StageA``'s per-particle gain construction."""
+class _StackedStageA:
+    """Order-grouped dispatcher over :class:`_PlacementGroup`.
 
-    def __init__(self, stage_a: _StageA) -> None:
-        self.stage_a = stage_a
-        evaluator = stage_a.evaluator
-        self.order = evaluator.order
-        self.m = evaluator.m
-        self.placers = [_SegmentPlacer(seg) for seg in evaluator.segments]
+    Stacked twin of ``_StageA``'s per-particle gain construction: one
+    call yields every unit's gains ``(P, m, l)`` and infeasible-particle
+    mask, with bad particles' gains zeroed.
+    """
 
-    def gains_batch(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-task gains ``(P, m, l)`` and the infeasible-particle mask."""
-        n_batch = thetas.shape[0]
-        poles_ct = np.stack(
-            [_continuous_poles(thetas[p], self.order) for p in range(n_batch)]
-        )
-        gains = np.empty((n_batch, self.m, self.order))
-        bad = np.zeros(n_batch, dtype=bool)
-        for j, placer in enumerate(self.placers):
-            desired = np.exp(poles_ct * placer.h)
-            rows, segment_bad = placer.place_batch(desired)
-            gains[:, j, :] = rows
-            bad |= segment_bad
-        gains[bad] = 0.0
+    def __init__(self, stage_as: list[_StageA]) -> None:
+        self.n_units = len(stage_as)
+        by_order: dict[int, list[int]] = {}
+        for i, stage_a in enumerate(stage_as):
+            by_order.setdefault(stage_a.order, []).append(i)
+        self.groups = [
+            _PlacementGroup([stage_as[i] for i in indices], indices)
+            for indices in by_order.values()
+        ]
+
+    def gains_batch(self, thetas: list[np.ndarray]):
+        gains: list = [None] * self.n_units
+        bad: list = [None] * self.n_units
+        for group in self.groups:
+            group.run([thetas[i] for i in group.unit_indices], gains, bad)
         return gains, bad
 
 
@@ -244,9 +281,9 @@ class _LiftedBatch:
         self.m = len(segments)
         self.order = segments[0].ad.shape[0]
         self.dim = self.order + 1 if self.m == 1 else self.m * self.order
-        # Gain-independent stacks (broadcast A_d copies, basis selectors,
-        # zero reference vector) keyed by particle count; they are only
-        # ever read, so reuse across evaluate calls is safe.
+        # Gain-independent stacks (broadcast A_d copies, basis selectors)
+        # keyed by particle count; they are only ever read, so reuse
+        # across evaluate calls is safe.
         self._static: dict[int, tuple] = {}
 
     def _static_for(self, n_batch: int) -> tuple:
@@ -265,12 +302,17 @@ class _LiftedBatch:
             coeff = np.zeros((n_batch, order, dim))
             coeff[:, :, j * order:(j + 1) * order] = np.eye(order)
             basis.append(coeff)
-        zero_rvec = np.zeros((n_batch, order))
-        cached = (ad_b, basis, zero_rvec)
+        cached = (ad_b, basis)
         self._static[n_batch] = cached
         return cached
 
-    def build(self, gains: np.ndarray, feedforward: np.ndarray) -> np.ndarray:
+    def build(self, gains: np.ndarray) -> np.ndarray:
+        """Stacked ``A_hol`` ``(P, dim, dim)`` for gains ``(P, m, l)``.
+
+        Only the state coefficients of the serial expressions are built:
+        the reference terms feed ``G``, which the stability check never
+        reads.
+        """
         m, order = self.m, self.order
         n_batch = gains.shape[0]
         segments = self.segments
@@ -286,61 +328,40 @@ class _LiftedBatch:
             return a_hol
 
         dim = self.dim
-        ad_b, basis, zero_rvec = self._static_for(n_batch)
+        ad_b, basis = self._static_for(n_batch)
         g_rows = [
             np.ascontiguousarray(gains[:, j, :])[:, None, :] for j in range(m)
         ]
 
-        def input_expr(j, coeff, rvec):
-            u_coeff = np.matmul(g_rows[j], coeff)[:, 0, :]
-            u_rvec = (
-                np.matmul(g_rows[j], rvec[:, :, None])[:, 0, 0]
-                + feedforward[:, j]
-            )
-            return u_coeff, u_rvec
+        def input_coeff(j, coeff):
+            return np.matmul(g_rows[j], coeff)[:, 0, :]
 
-        u_prev_hp = [input_expr(j, basis[j], zero_rvec) for j in range(m)]
+        u_prev_hp = [input_coeff(j, basis[j]) for j in range(m)]
 
         seg_long = segments[m - 1]
-        u_before = u_prev_hp[m - 2]
-        u_after = u_prev_hp[m - 1]
         coeff = (
             np.matmul(ad_b[m - 1], basis[m - 1])
-            + seg_long.b1[None, :, None] * u_before[0][:, None, :]
-            + seg_long.b2[None, :, None] * u_after[0][:, None, :]
+            + seg_long.b1[None, :, None] * u_prev_hp[m - 2][:, None, :]
+            + seg_long.b2[None, :, None] * u_prev_hp[m - 1][:, None, :]
         )
-        rvec = (
-            np.matmul(ad_b[m - 1], zero_rvec[:, :, None])[:, :, 0]
-            + seg_long.b1[None, :] * u_before[1][:, None]
-            + seg_long.b2[None, :] * u_after[1][:, None]
-        )
-        new_exprs = [(coeff, rvec)]
+        new_coeffs = [coeff]
 
-        new_inputs = [input_expr(0, new_exprs[0][0], new_exprs[0][1])]
+        new_inputs = [input_coeff(0, coeff)]
         for j in range(m - 1):
             seg = segments[j]
-            coeff_j, rvec_j = new_exprs[j]
             active = u_prev_hp[m - 1] if j == 0 else new_inputs[j - 1]
             coeff = (
-                np.matmul(ad_b[j], coeff_j)
-                + seg.b1[None, :, None] * active[0][:, None, :]
-            )
-            rvec = (
-                np.matmul(ad_b[j], rvec_j[:, :, None])[:, :, 0]
-                + seg.b1[None, :] * active[1][:, None]
+                np.matmul(ad_b[j], new_coeffs[j])
+                + seg.b1[None, :, None] * active[:, None, :]
             )
             if seg.has_inner_actuation:
-                own = new_inputs[j]
-                coeff = coeff + seg.b2[None, :, None] * own[0][:, None, :]
-                rvec = rvec + seg.b2[None, :] * own[1][:, None]
-            new_exprs.append((coeff, rvec))
-            if j + 1 < m:
-                new_inputs.append(
-                    input_expr(j + 1, new_exprs[j + 1][0], new_exprs[j + 1][1])
-                )
+                coeff = coeff + seg.b2[None, :, None] * new_inputs[j][:, None, :]
+            new_coeffs.append(coeff)
+            if j + 2 < m:  # the last input only acts next hyperperiod
+                new_inputs.append(input_coeff(j + 1, coeff))
 
         a_hol = np.empty((n_batch, dim, dim))
-        for j, (coeff, _rvec) in enumerate(new_exprs):
+        for j, coeff in enumerate(new_coeffs):
             a_hol[:, j * order:(j + 1) * order, :] = coeff
         return a_hol
 
@@ -624,15 +645,11 @@ class BatchGainEvaluator:
             for indices in by_order.values()
         ]
 
-    def _spectral_radii(self, gains: list[np.ndarray], feedforwards: list[np.ndarray]):
+    def _spectral_radii(self, gains: list[np.ndarray]):
         radii = [None] * len(self.evaluators)
         for group in self._dim_groups:
             stacked = np.concatenate(
-                [
-                    self._lifts[i].build(gains[i], feedforwards[i])
-                    for i in group
-                ],
-                axis=0,
+                [self._lifts[i].build(gains[i]) for i in group], axis=0
             )
             magnitudes = np.abs(np.linalg.eigvals(stacked))
             rho = magnitudes.max(axis=1)
@@ -655,7 +672,7 @@ class BatchGainEvaluator:
                 feedforwards,
                 invalids,
             )
-        radii = self._spectral_radii(gains_list, feedforwards)
+        radii = self._spectral_radii(gains_list)
         settling, u_peak, _final_error = self._tracking.run(
             gains_list, feedforwards
         )
@@ -709,7 +726,6 @@ class _DesignUnit:
             request.plant, segments, plan, request.spec, horizon
         )
         self.stage_a = _StageA(self.evaluator, request.options)
-        self.batched_a = _BatchedStageA(self.stage_a)
         self.gains: np.ndarray | None = None
         self.refined: np.ndarray | None = None
         self.design: ControllerDesign | None = None
@@ -743,17 +759,15 @@ def _design_lockstep_group(
             )
     options = units[0].options
     batch_eval = BatchGainEvaluator([unit.evaluator for unit in units])
+    placement = _StackedStageA([unit.stage_a for unit in units])
 
     def stage_a_objective(positions_list):
-        built = [
-            unit.batched_a.gains_batch(positions)
-            for unit, positions in zip(units, positions_list)
-        ]
-        results = batch_eval.evaluate([gains for gains, _bad in built])
+        gains, bad = placement.gains_batch(positions_list)
+        results = batch_eval.evaluate(gains)
         values = []
-        for unit, (_gains, bad), result in zip(units, built, results):
+        for unit, unit_bad, result in zip(units, bad, results):
             objective = result["objective"]
-            objective[bad] = 4.0 * unit.evaluator.big
+            objective[unit_bad] = 4.0 * unit.evaluator.big
             values.append(objective)
         return values
 

@@ -6,18 +6,40 @@ and evaluation counts — because the schedule search compares overall
 performances across candidates and any drift would reorder them.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.control.design import DesignOptions, design_controller
+from repro.control.ackermann import (
+    _poly_recurrence,
+    _real_characteristic_coefficients,
+    _real_coefficients_batch,
+    place_poles_siso,
+)
+from repro.control.design import (
+    DesignOptions,
+    TrackingSpec,
+    _continuous_poles,
+    _continuous_poles_batch,
+    _GainEvaluator,
+    _StageA,
+    design_controller,
+)
+from repro.control.lifted import build_segments
 from repro.control.lockstep import (
+    BatchGainEvaluator,
     DesignRequest,
-    _poly_from_roots,
+    _PlacementGroup,
+    _StackedStageA,
     design_controllers_batch,
 )
+from repro.control.lti import LtiPlant
 from repro.control.pso import PsoOptions, pso_minimize, pso_minimize_many
+from repro.control.simulate import build_simulation_plan
 from repro.errors import ControlError
 from repro.sched import PeriodicSchedule, derive_timing
 
@@ -61,32 +83,266 @@ def _serial_designs(requests):
     ]
 
 
-class TestPolyFromRoots:
-    def test_matches_np_poly_conjugate_roots(self, rng):
-        for _ in range(20):
-            real = rng.normal(size=2)
-            imag = rng.normal(size=2)
-            roots = np.concatenate(
-                [real + 1j * imag, (real + 1j * imag).conj()]
-            )
-            assert np.array_equal(
-                _poly_from_roots(roots, cast_real=True), np.poly(roots)
-            )
+def _complex(real, imag) -> np.ndarray:
+    """Roots with exactly these parts (no arithmetic on the way)."""
+    roots = np.empty(len(real), dtype=complex)
+    roots.real = real
+    roots.imag = imag
+    return roots
 
-    def test_matches_np_poly_non_conjugate_roots(self, rng):
-        for _ in range(20):
-            roots = rng.normal(size=3) + 1j * rng.normal(size=3)
-            expected = np.poly(roots)
-            got = _poly_from_roots(roots, cast_real=False)
-            assert got.dtype == expected.dtype == complex
-            assert np.array_equal(got, expected)
 
-    def test_real_roots(self, rng):
-        roots = rng.normal(size=4)
-        assert np.array_equal(
-            _poly_from_roots(roots.astype(complex), cast_real=True),
-            np.poly(roots),
+def _np_poly_complex(roots: np.ndarray) -> np.ndarray:
+    """``np.poly``'s recurrence before its cast to real."""
+    coefficients = np.ones((1,), dtype=complex)
+    for zero in roots:
+        coefficients = np.convolve(
+            coefficients, np.array([1, -zero], dtype=complex), mode="full"
         )
+    return coefficients
+
+
+def _reference_poles(theta: np.ndarray, order: int) -> np.ndarray:
+    """Scalar math-module form of the stage-A pole map."""
+    poles = np.empty(order, dtype=complex)
+    for i in range(order // 2):
+        wn, zeta = theta[2 * i], theta[2 * i + 1]
+        if zeta < 1.0:
+            wd = wn * math.sqrt(1.0 - zeta * zeta)
+            poles[2 * i] = complex(-zeta * wn, wd)
+            poles[2 * i + 1] = complex(-zeta * wn, -wd)
+        else:
+            spread = wn * math.sqrt(zeta * zeta - 1.0)
+            poles[2 * i] = complex(-zeta * wn + spread, 0.0)
+            poles[2 * i + 1] = complex(-zeta * wn - spread, 0.0)
+    if order % 2:
+        poles[-1] = complex(-theta[-1], 0.0)
+    return poles
+
+
+_PART = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+_DAMPING = st.one_of(
+    st.floats(0.35, 1.4), st.sampled_from([0.35, 1.0, 1.4, np.nextafter(1.0, 0.0)])
+)
+
+
+@st.composite
+def _root_set(draw, order):
+    """One root set: conjugate-closed, real, arbitrary complex, or the
+    ``exp(s h)`` image of stage-A continuous poles."""
+    kind = draw(st.sampled_from(["conjugate", "real", "complex", "exp"]))
+    if kind == "real":
+        return _complex(draw(st.lists(_PART, min_size=order, max_size=order)), 0.0)
+    if kind == "complex":
+        parts = st.lists(_PART, min_size=order, max_size=order)
+        return _complex(draw(parts), draw(parts))
+    if kind == "conjugate":
+        n_pairs = draw(st.integers(0, order // 2))
+        parts = st.lists(_PART, min_size=n_pairs, max_size=n_pairs)
+        pairs = _complex(draw(parts), draw(parts))
+        singles = draw(
+            st.lists(_PART, min_size=order - 2 * n_pairs, max_size=order - 2 * n_pairs)
+        )
+        roots = np.concatenate([pairs, pairs.conjugate(), _complex(singles, 0.0)])
+        return roots[draw(st.permutations(range(order)))]
+    theta = []
+    for _ in range(order // 2):
+        theta += [draw(st.floats(1.0, 3000.0)), draw(_DAMPING)]
+    if order % 2:
+        theta.append(draw(st.floats(1.0, 3000.0)))
+    h = draw(st.floats(1e-4, 5e-3))
+    return np.exp(_continuous_poles(np.array(theta), order) * h)
+
+
+@st.composite
+def _root_batch(draw):
+    order = draw(st.integers(1, 6))
+    return np.stack(draw(st.lists(_root_set(order), min_size=1, max_size=6)))
+
+
+class TestCharacteristicRecurrence:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6).flatmap(_root_set))
+    def test_matches_np_poly(self, roots):
+        got = _poly_recurrence(roots[None, :])[0]
+        expected = _np_poly_complex(roots)
+        assert np.array_equal(got.real, expected.real)
+        assert np.array_equal(got.imag, expected.imag)
+        reference = np.poly(roots)
+        if np.iscomplexobj(reference):
+            assert np.array_equal(got.imag, reference.imag)
+        assert np.array_equal(got.real, reference.real)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6).flatmap(_root_set))
+    def test_real_coefficients_follow_np_poly(self, roots):
+        reference = np.poly(roots)
+        rejected = np.iscomplexobj(reference) and np.abs(
+            reference.imag
+        ).max() > 1e-8 * max(1.0, np.abs(reference).max())
+        if rejected:
+            with pytest.raises(ControlError):
+                _real_characteristic_coefficients(roots)
+        else:
+            assert np.array_equal(
+                _real_characteristic_coefficients(roots), reference.real
+            )
+
+    @settings(max_examples=150, deadline=None)
+    @given(_root_batch())
+    def test_batch_equals_rows(self, batch):
+        coefficients = _poly_recurrence(batch)
+        real, bad = _real_coefficients_batch(batch)
+        for i in range(batch.shape[0]):
+            row = _poly_recurrence(batch[i:i + 1])[0]
+            assert np.array_equal(coefficients[i].real, row.real)
+            assert np.array_equal(coefficients[i].imag, row.imag)
+            row_real, row_bad = _real_coefficients_batch(batch[i:i + 1])
+            assert np.array_equal(real[i], row_real[0])
+            assert bad[i] == row_bad[0]
+
+
+class TestContinuousPoles:
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+    def test_batch_equals_scalar(self, order, rng):
+        zetas = [0.35, 0.7, np.nextafter(1.0, 0.0), 1.0, 1.2, 1.4]
+        thetas = []
+        for zeta in zetas:
+            for _ in range(4):
+                theta = []
+                for _ in range(order // 2):
+                    theta += [rng.uniform(1.0, 3000.0), zeta]
+                if order % 2:
+                    theta.append(rng.uniform(1.0, 3000.0))
+                thetas.append(theta)
+        thetas = np.array(thetas)
+        batch = _continuous_poles_batch(thetas, order)
+        assert batch.shape == (len(thetas), order)
+        for theta, row in zip(thetas, batch):
+            for expected in (_reference_poles(theta, order), _continuous_poles(theta, order)):
+                assert np.array_equal(row.real, expected.real)
+                assert np.array_equal(row.imag, expected.imag)
+
+
+_SPEC = TrackingSpec(r=0.2, y0=0.0, u_max=12.0, deadline=0.05)
+
+
+def _mixed_order_plants():
+    """Controllable plants of orders 1, 2 and 3."""
+    return [
+        LtiPlant("lag", np.array([[-40.0]]), np.array([400.0]), np.array([1.0])),
+        LtiPlant(
+            "resonant",
+            np.array([[0.0, 1.0], [-250.0 ** 2, -2 * 0.15 * 250.0]]),
+            np.array([0.0, 2500.0]),
+            np.array([1.0, 0.0]),
+        ),
+        LtiPlant(
+            "servo_lag",
+            np.array([[0.0, 1.0, 0.0], [-2500.0, -30.0, 900.0], [0.0, 0.0, -400.0]]),
+            np.array([0.0, 0.0, 400.0]),
+            np.array([1.0, 0.0, 0.0]),
+        ),
+    ]
+
+
+#: An ``m = 1`` timing (the augmented ``(x, u_prev)`` lift) and an
+#: ``m = 3`` one.
+_TIMINGS = [
+    ((2000e-6,), (800e-6,)),
+    ((800e-6, 400e-6, 2400e-6), (800e-6, 400e-6, 300e-6)),
+]
+
+
+def _stage_a(plant, periods, delays, options):
+    segments = build_segments(plant.a, plant.b, list(periods), list(delays))
+    plan = build_simulation_plan(
+        plant.a, plant.b, plant.c, list(periods), list(delays), nsub=options.nsub
+    )
+    horizon = options.horizon_factor * _SPEC.deadline + plan.idle_gap
+    evaluator = _GainEvaluator(plant, segments, plan, _SPEC, horizon)
+    return _StageA(evaluator, options)
+
+
+def _particles(stage_a, n_particles, rng):
+    span = stage_a.upper - stage_a.lower
+    return stage_a.lower + rng.random((n_particles, span.shape[0])) * span
+
+
+class TestStackedPlacement:
+    """The stacked stage-A path against ``_StageA``'s serial path."""
+
+    options = DesignOptions(restarts=1)
+
+    def test_uncontrollable_segment_marks_particles_bad(self, rng):
+        omega = 1000.0
+        oscillator = LtiPlant(
+            "oscillator",
+            np.array([[0.0, omega], [-omega, 0.0]]),
+            np.array([0.0, omega]),
+            np.array([1.0, 0.0]),
+        )
+        # Sampling at half the oscillation period makes A_d = -I, so that
+        # segment alone loses controllability.
+        timing = ((math.pi / omega, 600e-6), (500e-6, 300e-6))
+        resonant = _mixed_order_plants()[1]
+        stacked_units = [
+            _stage_a(oscillator, *timing, self.options),
+            _stage_a(resonant, *timing, self.options),
+        ]
+        serial_units = [
+            _stage_a(oscillator, *timing, self.options),
+            _stage_a(resonant, *timing, self.options),
+        ]
+        thetas = [_particles(unit, 7, rng) for unit in stacked_units]
+        stacked = _StackedStageA(stacked_units)
+        (group,) = stacked.groups
+        assert group.uncontrollable[:, 0].tolist() == [True, False, False, False]
+
+        gains, bad = stacked.gains_batch(thetas)
+        assert bad[0].all()
+        assert not bad[1].any()
+        objectives = BatchGainEvaluator(
+            [unit.evaluator for unit in stacked_units]
+        ).evaluate(gains)
+        for unit, unit_thetas, unit_gains, unit_bad, result in zip(
+            serial_units, thetas, gains, bad, objectives
+        ):
+            for theta, row, row_bad in zip(unit_thetas, unit_gains, unit_bad):
+                expected = unit.gains_for(theta)
+                if expected is None:
+                    assert row_bad
+                    assert not row.any()
+                else:
+                    assert not row_bad
+                    assert np.array_equal(row, expected)
+            objective = result["objective"]
+            objective[unit_bad] = 4.0 * unit.evaluator.big
+            assert np.array_equal(objective, unit.objective(unit_thetas))
+
+    def test_rows_that_are_not_conjugate_closed(self):
+        stage_a = _stage_a(_mixed_order_plants()[1], *_TIMINGS[1], self.options)
+        group = _PlacementGroup([stage_a], [0])
+        pole_sets = [
+            [0.5 + 0.2j, 0.5 - 0.2j],
+            # Not closed, imaginary residue far above the 1e-8 bound.
+            [0.5 + 0.2j, 0.4 - 0.2j],
+            # Not closed, residue below the bound: placed on the real part.
+            [0.5 + 0.1j, complex(0.5, -0.1 * (1.0 + 1e-12))],
+            [0.3, 0.6],
+        ]
+        segments = stage_a.evaluator.segments
+        desired = np.array([pole_sets] * len(segments), dtype=complex)
+        placed, bad = group.place(desired)
+        assert bad.tolist() == [[False, True, False, False]] * len(segments)
+        for seg, seg_rows, seg_bad in zip(segments, placed, bad):
+            for poles, row, row_bad in zip(desired[0], seg_rows, seg_bad):
+                if row_bad:
+                    with pytest.raises(ControlError):
+                        place_poles_siso(seg.ad, seg.b1 + seg.b2, poles)
+                else:
+                    assert np.array_equal(
+                        row, place_poles_siso(seg.ad, seg.b1 + seg.b2, poles)
+                    )
 
 
 class TestPsoMinimizeMany:
@@ -225,3 +481,27 @@ class TestBatchDesignIdentity:
         )
         with pytest.raises(ControlError):
             design_controllers_batch([bad])
+
+    def test_mixed_plant_orders_and_lifts(self):
+        """Orders 1-3 share one lockstep group, split into per-order
+        placements; m = 1 and m = 3 timings take both lifts."""
+        options = DesignOptions(
+            restarts=2, stage_a=PsoOptions(6, 5), stage_b=PsoOptions(6, 5)
+        )
+        requests = [
+            DesignRequest(
+                plant=plant,
+                periods=periods,
+                delays=delays,
+                spec=_SPEC,
+                options=replace(options, seed=options.seed + 31 * i),
+            )
+            for i, (plant, (periods, delays)) in enumerate(
+                (plant, timing)
+                for plant in _mixed_order_plants()
+                for timing in _TIMINGS
+            )
+        ]
+        batched = design_controllers_batch(requests)
+        for serial, got in zip(_serial_designs(requests), batched):
+            _assert_designs_identical(serial, got)
