@@ -159,6 +159,39 @@ def _root_batch(draw):
     return np.stack(draw(st.lists(_root_set(order), min_size=1, max_size=6)))
 
 
+class TestPolyFromRoots:
+    """Fixed-seed checks of the stage-A coefficient path against np.poly."""
+
+    def test_matches_np_poly_conjugate_roots(self, rng):
+        for _ in range(20):
+            real = rng.normal(size=2)
+            imag = rng.normal(size=2)
+            roots = np.concatenate(
+                [real + 1j * imag, (real + 1j * imag).conj()]
+            )
+            coefficients, bad = _real_coefficients_batch(roots[None, :])
+            assert not bad[0]
+            assert np.array_equal(coefficients[0], np.poly(roots))
+
+    def test_matches_np_poly_non_conjugate_roots(self, rng):
+        for _ in range(20):
+            roots = rng.normal(size=3) + 1j * rng.normal(size=3)
+            expected = np.poly(roots)
+            got = _poly_recurrence(roots[None, :])[0]
+            assert got.dtype == expected.dtype == complex
+            assert np.array_equal(got, expected)
+            _, bad = _real_coefficients_batch(roots[None, :])
+            assert bad[0]
+
+    def test_real_roots(self, rng):
+        roots = rng.normal(size=4)
+        coefficients, bad = _real_coefficients_batch(
+            roots.astype(complex)[None, :]
+        )
+        assert not bad[0]
+        assert np.array_equal(coefficients[0], np.poly(roots))
+
+
 class TestCharacteristicRecurrence:
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 6).flatmap(_root_set))
