@@ -32,11 +32,19 @@ arithmetic reproduces (see
 :func:`repro.control.ackermann._poly_recurrence`).  On any one machine
 the two paths therefore agree bit-for-bit; tests assert exact equality,
 not tolerances.
+
+Only work whose result is kept is done.  The tracking loop orders each
+group's units by step count, longest first, so the units still running
+at a step are a prefix of the group and every per-step operation runs
+on that prefix alone; the spectral check builds the lifted matrices
+once per ``(m, order)`` group from stacked per-row statics.  Both keep
+every kernel's per-slice shape, and the stacked matmul, einsum and
+eigvals kernels are batch-composition invariant, so neither changes a
+bit.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -267,68 +275,79 @@ class _FeedforwardGroup:
             invalid_out[out] = bad[lo:hi].any(axis=0)
 
 
-class _LiftedBatch:
-    """Stacked construction of the lifted ``A_hol`` for a particle batch.
+class _LiftedGroup:
+    """Stacked lifted ``A_hol`` for every unit sharing ``(m, order)``.
 
-    Mirrors :func:`repro.control.lifted.lifted_closed_loop` term by term:
-    matrix products become stacked gufunc matmuls (per-slice kernels
-    identical to the serial 2-D calls), outer products and additions stay
-    element-wise and fuse across particles.
+    Mirrors :func:`repro.control.lifted.lifted_closed_loop` term by term
+    over all (unit, particle) rows of the group at once: matrix products
+    become stacked gufunc matmuls (per-slice kernels identical to the
+    serial 2-D calls), outer products and additions stay element-wise
+    and fuse across rows.  Inner segments with their own actuation
+    (``tau < h``) add their ``b2`` term on exactly their rows.
     """
 
-    def __init__(self, segments: list[Segment]) -> None:
-        self.segments = segments
-        self.m = len(segments)
-        self.order = segments[0].ad.shape[0]
+    def __init__(self, evaluators: list[_GainEvaluator], unit_indices: list[int]) -> None:
+        self.unit_indices = unit_indices
+        self.m = evaluators[0].m
+        self.order = evaluators[0].order
         self.dim = self.order + 1 if self.m == 1 else self.m * self.order
-        # Gain-independent stacks (broadcast A_d copies, basis selectors)
-        # keyed by particle count; they are only ever read, so reuse
-        # across evaluate calls is safe.
-        self._static: dict[int, tuple] = {}
+        self.ad = np.stack([[seg.ad for seg in ge.segments] for ge in evaluators])
+        self.b1 = np.stack([[seg.b1 for seg in ge.segments] for ge in evaluators])
+        self.b2 = np.stack([[seg.b2 for seg in ge.segments] for ge in evaluators])
+        self.inner = np.array(
+            [
+                [seg.has_inner_actuation for seg in ge.segments[:-1]]
+                for ge in evaluators
+            ],
+            dtype=bool,
+        )
+        # Gain-independent per-row stacks keyed by the units' particle
+        # counts; they are only ever read, so reuse across evaluate calls
+        # is safe.
+        self._static: dict[tuple[int, ...], tuple] = {}
 
-    def _static_for(self, n_batch: int) -> tuple:
-        cached = self._static.get(n_batch)
+    def _static_for(self, counts: tuple[int, ...]) -> tuple:
+        cached = self._static.get(counts)
         if cached is not None:
             return cached
         m, order, dim = self.m, self.order, self.dim
-        ad_b = [
-            np.ascontiguousarray(
-                np.broadcast_to(seg.ad, (n_batch, order, order))
-            )
-            for seg in self.segments
-        ]
+
+        def rows(table: np.ndarray) -> list[np.ndarray]:
+            table = np.repeat(table, counts, axis=0)
+            return [np.ascontiguousarray(table[:, j]) for j in range(m)]
+
         basis = []
         for j in range(m):
-            coeff = np.zeros((n_batch, order, dim))
+            coeff = np.zeros((sum(counts), order, dim))
             coeff[:, :, j * order:(j + 1) * order] = np.eye(order)
             basis.append(coeff)
-        cached = (ad_b, basis)
-        self._static[n_batch] = cached
+        inner = np.repeat(self.inner, counts, axis=0)
+        inner_rows = [np.flatnonzero(inner[:, j]) for j in range(m - 1)]
+        cached = (rows(self.ad), rows(self.b1), rows(self.b2), basis, inner_rows)
+        self._static[counts] = cached
         return cached
 
-    def build(self, gains: np.ndarray) -> np.ndarray:
-        """Stacked ``A_hol`` ``(P, dim, dim)`` for gains ``(P, m, l)``.
+    def build(self, gains_list: list[np.ndarray]) -> np.ndarray:
+        """Stacked ``A_hol`` for the group's gain batches ``(P_u, m, l)``.
 
-        Only the state coefficients of the serial expressions are built:
-        the reference terms feed ``G``, which the stability check never
-        reads.
+        Rows run unit by unit in ``unit_indices`` order.  Only the state
+        coefficients of the serial expressions are built: the reference
+        terms feed ``G``, which the stability check never reads.
         """
         m, order = self.m, self.order
-        n_batch = gains.shape[0]
-        segments = self.segments
+        gains = np.concatenate(gains_list)
+        n_rows = gains.shape[0]
+        ad, b1, b2, basis, inner_rows = self._static_for(
+            tuple(g.shape[0] for g in gains_list)
+        )
         if m == 1:
-            seg = segments[0]
             k = gains[:, 0, :]
-            a_hol = np.zeros((n_batch, order + 1, order + 1))
-            a_hol[:, :order, :order] = (
-                seg.ad[None, :, :] + seg.b2[None, :, None] * k[:, None, :]
-            )
-            a_hol[:, :order, order] = seg.b1[None, :]
+            a_hol = np.zeros((n_rows, order + 1, order + 1))
+            a_hol[:, :order, :order] = ad[0] + b2[0][:, :, None] * k[:, None, :]
+            a_hol[:, :order, order] = b1[0]
             a_hol[:, order, :order] = k
             return a_hol
 
-        dim = self.dim
-        ad_b, basis = self._static_for(n_batch)
         g_rows = [
             np.ascontiguousarray(gains[:, j, :])[:, None, :] for j in range(m)
         ]
@@ -338,29 +357,31 @@ class _LiftedBatch:
 
         u_prev_hp = [input_coeff(j, basis[j]) for j in range(m)]
 
-        seg_long = segments[m - 1]
         coeff = (
-            np.matmul(ad_b[m - 1], basis[m - 1])
-            + seg_long.b1[None, :, None] * u_prev_hp[m - 2][:, None, :]
-            + seg_long.b2[None, :, None] * u_prev_hp[m - 1][:, None, :]
+            np.matmul(ad[m - 1], basis[m - 1])
+            + b1[m - 1][:, :, None] * u_prev_hp[m - 2][:, None, :]
+            + b2[m - 1][:, :, None] * u_prev_hp[m - 1][:, None, :]
         )
         new_coeffs = [coeff]
 
         new_inputs = [input_coeff(0, coeff)]
         for j in range(m - 1):
-            seg = segments[j]
             active = u_prev_hp[m - 1] if j == 0 else new_inputs[j - 1]
             coeff = (
-                np.matmul(ad_b[j], new_coeffs[j])
-                + seg.b1[None, :, None] * active[:, None, :]
+                np.matmul(ad[j], new_coeffs[j])
+                + b1[j][:, :, None] * active[:, None, :]
             )
-            if seg.has_inner_actuation:
-                coeff = coeff + seg.b2[None, :, None] * new_inputs[j][:, None, :]
+            own = inner_rows[j]
+            if own.size:
+                coeff[own] = (
+                    coeff[own]
+                    + b2[j][own][:, :, None] * new_inputs[j][own][:, None, :]
+                )
             new_coeffs.append(coeff)
             if j + 2 < m:  # the last input only acts next hyperperiod
                 new_inputs.append(input_coeff(j + 1, coeff))
 
-        a_hol = np.empty((n_batch, dim, dim))
+        a_hol = np.empty((n_rows, self.dim, self.dim))
         for j, coeff in enumerate(new_coeffs):
             a_hol[:, j * order:(j + 1) * order, :] = coeff
         return a_hol
@@ -371,28 +392,23 @@ class _TrackingGroup:
 
     One global time loop advances every unit's trajectory batch at once:
     the two per-segment matrix products keep their serial shapes (issued
-    per active unit on its contiguous ``(P, l)`` block), while the input
-    law, intersample band checks, state updates and settling bookkeeping
-    fuse across all units via gathered per-step coefficient tables.
-    Units that reach their own horizon are frozen by masking.
+    per unit on its contiguous ``(P, l)`` block), while the input law,
+    intersample band checks, state updates and settling bookkeeping
+    fuse across units via gathered per-step coefficient tables.  Units
+    are ordered by step count, longest first (a stable sort), so the
+    units still running at step ``k`` are a prefix of the group; every
+    per-step operation runs on that prefix only, and a finished unit's
+    state stays where its last step left it.
     """
 
     def __init__(self, evaluators: list[_GainEvaluator], unit_indices: list[int]) -> None:
+        steps = [ge.plan.n_steps(ge.horizon) for ge in evaluators]
+        ranked = sorted(range(len(evaluators)), key=lambda u: -steps[u])
+        evaluators = [evaluators[u] for u in ranked]
+        steps = [steps[u] for u in ranked]
         self.evaluators = evaluators
-        self.unit_indices = unit_indices
-        n_units = len(evaluators)
-        order = evaluators[0].plan.order
-        self.order = order
-        self.m_list = [ge.plan.n_phases for ge in evaluators]
-        # Flat slot 0 is a dedicated all-zero segment for frozen units:
-        # zero gains/coefficients and t = -inf observation times make the
-        # fused update a no-op there without per-array masking.
-        offsets = [1]
-        for m in self.m_list:
-            offsets.append(offsets[-1] + m)
-        self.offsets = offsets
-        total_m = offsets[-1]
-
+        self.unit_indices = [unit_indices[u] for u in ranked]
+        self.order = evaluators[0].plan.order
         self.r = np.array([float(ge.spec.r) for ge in evaluators])
         self.band = np.array([ge.spec.band for ge in evaluators])
         self.gap = np.array([ge.plan.idle_gap for ge in evaluators])
@@ -402,92 +418,59 @@ class _TrackingGroup:
         )
         self.c_list = [ge.plan.c for ge in evaluators]
 
-        steps = []
-        for ge in evaluators:
-            gap = ge.plan.idle_gap
-            hyper = ge.plan.hyperperiod
-            n_hyper = max(1, math.ceil((ge.horizon - gap) / hyper))
-            steps.append(n_hyper * ge.plan.n_phases)
-        self.steps = steps
-        self.max_steps = max(steps)
+        m_list = [ge.plan.n_phases for ge in evaluators]
+        offsets = np.cumsum([0] + m_list[:-1])
+        segment_objs = [seg for ge in evaluators for seg in ge.plan.segments]
+        periods = np.array([h for ge in evaluators for h in ge.plan.periods])
+        self.s_max = max(len(seg.obs_times) for seg in segment_objs)
 
-        segment_objs = [None]
-        for ge in evaluators:
-            segment_objs.extend(ge.plan.segments)
-        self.segment_objs = segment_objs
-        self.n_obs = [0] + [
-            len(seg.obs_times) for seg in segment_objs[1:]
-        ]
-        s_max = max(self.n_obs)
-        self.s_max = s_max
-        self.b1 = np.zeros((total_m, order))
-        self.b2 = np.zeros((total_m, order))
-        self.s1 = np.zeros((total_m, s_max))
-        self.s2 = np.zeros((total_m, s_max))
-        # Padded observation slots carry t = -inf so whatever garbage the
-        # padded output columns hold can never become a violation time.
-        self.obs_t = np.full((total_m, s_max), -np.inf)
-        self.periods = np.zeros(total_m)
-        flat = 1
-        for u, ge in enumerate(evaluators):
-            for j, seg in enumerate(ge.plan.segments):
-                count = len(seg.obs_times)
-                self.b1[flat] = seg.b1
-                self.b2[flat] = seg.b2
-                self.s1[flat, :count] = seg.obs_s1
-                self.s2[flat, :count] = seg.obs_s2
-                self.obs_t[flat, :count] = seg.obs_times
-                self.periods[flat] = ge.plan.periods[j]
-                flat += 1
-
-        # Per-step gather tables: flat segment index per unit (slot 0 for
-        # frozen units) plus the active mask.
-        self.seg_index = np.zeros((self.max_steps, n_units), dtype=np.intp)
-        self.active = np.zeros((self.max_steps, n_units), dtype=bool)
-        for k in range(self.max_steps):
-            for u in range(n_units):
-                if k < steps[u]:
-                    self.seg_index[k, u] = offsets[u] + k % self.m_list[u]
-                    self.active[k, u] = True
-
-        # The step-k coefficient pattern is static, so expand it once:
-        # stacked A_d per step (identity for frozen units — the result is
-        # masked out anyway) used through a transpose view so each slice
+        # The step-k coefficient pattern is static, so expand it once per
+        # step over the active prefix: flat segment indices for gathering
+        # gains, stacked A_d used through a transpose view so each slice
         # presents the same layout as the serial ``x @ ad.T`` call, and
         # observation-map stacks sub-grouped by grid size so the fused
-        # matmul never pads a GEMM shape.
-        ad_steps = np.empty((self.max_steps, n_units, order, order))
-        self.obs_groups: list[list[tuple[np.ndarray, np.ndarray, int]]] = []
-        for k in range(self.max_steps):
+        # matmul never pads a GEMM shape.  Padded observation slots carry
+        # t = -inf so whatever the padded output columns hold can never
+        # become a violation time.
+        self.step_tables = []
+        for k in range(steps[0]):
+            n_active = sum(1 for s in steps if s > k)
+            flat = np.array(
+                [offsets[u] + k % m_list[u] for u in range(n_active)]
+            )
+            segs = [segment_objs[f] for f in flat]
+            s1 = np.zeros((n_active, 1, self.s_max))
+            s2 = np.zeros((n_active, 1, self.s_max))
+            obs_t = np.full((n_active, self.s_max), -np.inf)
             by_size: dict[int, list[int]] = {}
-            for u in range(n_units):
-                if self.active[k, u]:
-                    flat = self.seg_index[k, u]
-                    ad_steps[k, u] = self.segment_objs[flat].ad
-                    by_size.setdefault(self.n_obs[flat], []).append(u)
-                else:
-                    ad_steps[k, u] = np.eye(order)
-            groups = []
-            for count, members in by_size.items():
-                stack = np.stack(
-                    [
-                        self.segment_objs[self.seg_index[k, u]].obs_w
-                        for u in members
-                    ]
+            for u, seg in enumerate(segs):
+                count = len(seg.obs_times)
+                s1[u, 0, :count] = seg.obs_s1
+                s2[u, 0, :count] = seg.obs_s2
+                obs_t[u, :count] = seg.obs_times
+                by_size.setdefault(count, []).append(u)
+            obs_groups = [
+                (
+                    np.array(members),
+                    np.stack([segs[u].obs_w for u in members]).transpose(0, 2, 1),
+                    count,
                 )
-                groups.append(
-                    (np.array(members), stack.transpose(0, 2, 1), count)
+                for count, members in by_size.items()
+            ]
+            self.step_tables.append(
+                (
+                    n_active,
+                    flat,
+                    np.stack([seg.ad for seg in segs]).transpose(0, 2, 1),
+                    np.stack([seg.b1 for seg in segs])[:, None, :],
+                    np.stack([seg.b2 for seg in segs])[:, None, :],
+                    s1,
+                    s2,
+                    obs_t,
+                    periods[flat],
+                    obs_groups,
                 )
-            self.obs_groups.append(groups)
-        self.ad_t_steps = [
-            ad_steps[k].transpose(0, 2, 1) for k in range(self.max_steps)
-        ]
-        self.s1_steps = self.s1[self.seg_index][:, :, None, :]
-        self.s2_steps = self.s2[self.seg_index][:, :, None, :]
-        self.b1_steps = self.b1[self.seg_index][:, :, None, :]
-        self.b2_steps = self.b2[self.seg_index][:, :, None, :]
-        self.obs_t_steps = self.obs_t[self.seg_index]
-        self.period_steps = self.periods[self.seg_index]
+            )
 
     def run(
         self,
@@ -500,17 +483,8 @@ class _TrackingGroup:
         n_units = len(self.evaluators)
         order = self.order
         n_batch = gains[0].shape[0]
-        total = n_units * n_batch
-        total_m = self.b1.shape[0]
-
-        g_flat = np.empty((total_m, n_batch, order))
-        f_flat = np.empty((total_m, n_batch))
-        g_flat[0] = 0.0
-        f_flat[0] = 0.0
-        for u in range(n_units):
-            lo, m = self.offsets[u], self.m_list[u]
-            g_flat[lo:lo + m] = gains[u].transpose(1, 0, 2)
-            f_flat[lo:lo + m] = feedforwards[u].transpose(1, 0)
+        g_flat = np.concatenate([g.transpose(1, 0, 2) for g in gains])
+        f_flat = np.concatenate([f.transpose(1, 0) for f in feedforwards])
 
         x = np.empty((n_units, n_batch, order))
         x[:] = self.x0[:, None, :]
@@ -524,55 +498,49 @@ class _TrackingGroup:
         u_peak = np.zeros((n_units, n_batch))
         t_start = np.zeros(n_units)
         y_buf = np.empty((n_units, n_batch, self.s_max))
+        r2 = self.r[:, None]
         r3 = self.r[:, None, None]
         band3 = self.band[:, None, None]
 
-        # Frozen/padded rows legitimately produce inf/nan garbage that the
-        # masks discard; silence only those spurious warnings.
+        # Padded observation columns hold stale or uninitialized values
+        # that the t = -inf slots discard; silence only their warnings.
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(self.max_steps):
-                seg_idx = self.seg_index[k]
-                active = self.active[k]
-                active2 = active[:, None]
-                g_step = g_flat[seg_idx]
-                f_step = f_flat[seg_idx]
+            for (
+                n, seg_idx, ad_t, b1, b2, s1, s2, obs_t, period, obs_groups
+            ) in self.step_tables:
+                x_act = x[:n]
+                u_prev_act = u_prev[:n]
                 u_curr = (
                     np.einsum(
                         "pl,pl->p",
-                        g_step.reshape(total, order),
-                        x.reshape(total, order),
-                    ).reshape(n_units, n_batch)
-                    + f_step * self.r[:, None]
+                        g_flat[seg_idx].reshape(n * n_batch, order),
+                        x_act.reshape(n * n_batch, order),
+                    ).reshape(n, n_batch)
+                    + f_flat[seg_idx] * r2[:n]
                 )
-                u_peak = np.where(
-                    active2, np.maximum(u_peak, np.abs(u_curr)), u_peak
-                )
+                np.maximum(u_peak[:n], np.abs(u_curr), out=u_peak[:n])
 
-                for members, obs_w_t, count in self.obs_groups[k]:
-                    y_buf[members, :, :count] = np.matmul(x[members], obs_w_t)
+                for members, obs_w_t, count in obs_groups:
+                    y_buf[members, :, :count] = np.matmul(x_act[members], obs_w_t)
                 y_sub = (
-                    y_buf
-                    + u_prev[:, :, None] * self.s1_steps[k]
-                    + u_curr[:, :, None] * self.s2_steps[k]
+                    y_buf[:n]
+                    + u_prev_act[:, :, None] * s1
+                    + u_curr[:, :, None] * s2
                 )
-                t_abs = t_start[:, None] + self.obs_t_steps[k]
-                violating = np.abs(y_sub - r3) > band3
+                t_abs = t_start[:n, None] + obs_t
+                violating = np.abs(y_sub - r3[:n]) > band3[:n]
                 candidate = np.where(
                     violating, t_abs[:, None, :], -np.inf
                 ).max(axis=2)
-                # Frozen units gather slot 0, whose t = -inf observation
-                # times make their candidate -inf — no mask needed here.
-                last_violation = np.maximum(last_violation, candidate)
+                np.maximum(last_violation[:n], candidate, out=last_violation[:n])
 
-                x_new = (
-                    np.matmul(x, self.ad_t_steps[k])
-                    + u_prev[:, :, None] * self.b1_steps[k]
-                    + u_curr[:, :, None] * self.b2_steps[k]
+                x[:n] = (
+                    np.matmul(x_act, ad_t)
+                    + u_prev_act[:, :, None] * b1
+                    + u_curr[:, :, None] * b2
                 )
-                x = np.where(active2[:, :, None], x_new, x)
-                u_prev = np.where(active2, u_curr, u_prev)
-                # Slot 0 has period 0.0, so frozen clocks stay put.
-                t_start = t_start + self.period_steps[k]
+                u_prev[:n] = u_curr
+                t_start[:n] = t_start[:n] + period
 
         for u in range(n_units):
             final_y = x[u] @ self.c_list[u]
@@ -622,20 +590,24 @@ class BatchGainEvaluator:
     Takes one gain batch per unit (all with the same particle count) and
     returns one result dict per unit, identical to what each unit's own
     ``_GainEvaluator.evaluate`` would have produced.  Feedforward gains
-    reuse the serial per-unit batch routine; the stability check batches
-    the lifted-matrix eigenvalue problems across units of equal lifted
-    dimension; the tracking simulations run through one fused time loop
-    per plant order.  Evaluation counters on the unit evaluators advance
-    exactly as in serial runs.
+    run through one fused solve per plant order; the stability check
+    builds the lifted matrices once per ``(m, order)`` group and solves
+    their eigenvalue problems in one stacked call per lifted dimension;
+    the tracking simulations run through one fused time loop per plant
+    order.  Evaluation counters on the unit evaluators advance exactly as
+    in serial runs.
     """
 
     def __init__(self, evaluators: list[_GainEvaluator]) -> None:
         self.evaluators = evaluators
         self._tracking = _StackedTracking(evaluators)
-        self._lifts = [_LiftedBatch(ge.segments) for ge in evaluators]
-        by_dim: dict[int, list[int]] = {}
-        for i, lift in enumerate(self._lifts):
-            by_dim.setdefault(lift.dim, []).append(i)
+        by_lift: dict[tuple[int, int], list[int]] = {}
+        for i, ge in enumerate(evaluators):
+            by_lift.setdefault((ge.m, ge.order), []).append(i)
+        by_dim: dict[int, list[_LiftedGroup]] = {}
+        for indices in by_lift.values():
+            lift = _LiftedGroup([evaluators[i] for i in indices], indices)
+            by_dim.setdefault(lift.dim, []).append(lift)
         self._dim_groups = list(by_dim.values())
         by_order: dict[int, list[int]] = {}
         for i, ge in enumerate(evaluators):
@@ -647,17 +619,17 @@ class BatchGainEvaluator:
 
     def _spectral_radii(self, gains: list[np.ndarray]):
         radii = [None] * len(self.evaluators)
-        for group in self._dim_groups:
+        for lifts in self._dim_groups:
             stacked = np.concatenate(
-                [self._lifts[i].build(gains[i]) for i in group], axis=0
+                [lift.build([gains[i] for i in lift.unit_indices]) for lift in lifts]
             )
-            magnitudes = np.abs(np.linalg.eigvals(stacked))
-            rho = magnitudes.max(axis=1)
+            rho = np.abs(np.linalg.eigvals(stacked)).max(axis=1)
             offset = 0
-            for i in group:
-                count = gains[i].shape[0]
-                radii[i] = rho[offset:offset + count]
-                offset += count
+            for lift in lifts:
+                for i in lift.unit_indices:
+                    count = gains[i].shape[0]
+                    radii[i] = rho[offset:offset + count]
+                    offset += count
         return radii
 
     def evaluate(self, gains_list: list[np.ndarray]) -> list[dict[str, np.ndarray]]:

@@ -69,6 +69,12 @@ class SimulationPlan:
         """The long sampling period ``h(m)`` preceding the first sample."""
         return self.periods[-1]
 
+    def n_steps(self, horizon: float) -> int:
+        """Sampling steps simulated for ``horizon``: whole hyperperiods
+        covering it past the idle gap, at least one."""
+        n_hyper = max(1, math.ceil((horizon - self.idle_gap) / self.hyperperiod))
+        return n_hyper * self.n_phases
+
 
 def build_simulation_plan(
     a: np.ndarray,
@@ -196,8 +202,6 @@ def simulate_tracking(
         )
 
     gap = plan.idle_gap
-    hyper = plan.hyperperiod
-    n_hyper = max(1, math.ceil((horizon - gap) / hyper))
     x = np.tile(np.asarray(x0, dtype=float).reshape(1, -1), (n_batch, 1))
     u_prev = np.full(n_batch, float(u0))
 
@@ -218,7 +222,7 @@ def simulate_tracking(
         outputs_acc.append(y_start[:, None])
 
     t_segment_start = 0.0
-    for step in range(n_hyper * m):
+    for step in range(plan.n_steps(horizon)):
         phase = step % m
         seg = plan.segments[phase]
         u_curr = np.einsum("pl,pl->p", gains[:, phase, :], x) + feedforward[:, phase] * r

@@ -29,9 +29,30 @@ MAX_COUNT = 256
 def max_sampling_periods(
     schedule: PeriodicSchedule, wcets: list[TaskWcets], clock: Clock
 ) -> list[float]:
-    """Longest sampling period of each application under ``schedule``."""
-    timing = derive_timing(schedule, wcets, clock)
-    return [app.max_period for app in timing.apps]
+    """Longest sampling period of each application under ``schedule``.
+
+    Closed form of ``max_period`` over :func:`derive_timing`'s patterns,
+    with the same floating-point operations in the same order: a burst's
+    periods are its cold and warm execution times, the last one extended
+    by the other applications' bursts ``delta >= 0`` (so no middle warm
+    period is ever the longest).
+    """
+    counts = schedule.counts
+    cold = [clock.cycles_to_seconds(w.wcet_cycles(1)) for w in wcets]
+    warm = [clock.cycles_to_seconds(w.wcet_cycles(2)) for w in wcets]
+    if len(wcets) != schedule.n_apps or not all(
+        c > 0 and (m == 1 or h > 0) for c, h, m in zip(cold, warm, counts)
+    ):
+        derive_timing(schedule, wcets, clock)  # raises its ScheduleError
+    durations = [
+        clock.cycles_to_seconds(w.wcet_cycles(1) + (m - 1) * w.wcet_cycles(2))
+        for w, m in zip(wcets, counts)
+    ]
+    total = sum(durations)
+    return [
+        c + (total - d) if m == 1 else max(c, h + (total - d))
+        for c, h, d, m in zip(cold, warm, durations, counts)
+    ]
 
 
 def idle_feasible(

@@ -6,12 +6,13 @@ and evaluation counts — because the schedule search compares overall
 performances across candidates and any drift would reorder them.
 """
 
+import functools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.control.ackermann import (
@@ -41,7 +42,8 @@ from repro.control.lti import LtiPlant
 from repro.control.pso import PsoOptions, pso_minimize, pso_minimize_many
 from repro.control.simulate import build_simulation_plan
 from repro.errors import ControlError
-from repro.sched import PeriodicSchedule, derive_timing
+from repro.apps import build_case_study
+from repro.sched import PeriodicSchedule, derive_timing, enumerate_idle_feasible
 
 
 def _assert_designs_identical(serial, batched):
@@ -49,6 +51,8 @@ def _assert_designs_identical(serial, batched):
     assert np.array_equal(serial.feedforward, batched.feedforward)
     assert serial.objective == batched.objective
     assert serial.settling == batched.settling
+    assert serial.u_peak == batched.u_peak
+    assert serial.spectral_radius == batched.spectral_radius
     assert serial.n_evaluations == batched.n_evaluations
 
 
@@ -286,13 +290,13 @@ _TIMINGS = [
 ]
 
 
-def _stage_a(plant, periods, delays, options):
+def _stage_a(plant, periods, delays, options, spec=_SPEC):
     segments = build_segments(plant.a, plant.b, list(periods), list(delays))
     plan = build_simulation_plan(
         plant.a, plant.b, plant.c, list(periods), list(delays), nsub=options.nsub
     )
-    horizon = options.horizon_factor * _SPEC.deadline + plan.idle_gap
-    evaluator = _GainEvaluator(plant, segments, plan, _SPEC, horizon)
+    horizon = options.horizon_factor * spec.deadline + plan.idle_gap
+    evaluator = _GainEvaluator(plant, segments, plan, spec, horizon)
     return _StageA(evaluator, options)
 
 
@@ -538,3 +542,112 @@ class TestBatchDesignIdentity:
         batched = design_controllers_batch(requests)
         for serial, got in zip(_serial_designs(requests), batched):
             _assert_designs_identical(serial, got)
+
+    def test_inner_actuation_rows_in_one_lift_group(self):
+        """m = 3 timings with ``tau < h`` on an inner segment share one
+        (m, order) lift group with ``tau == h`` timings, so only some of
+        the group's rows take the inner ``b2`` term."""
+        options = DesignOptions(
+            restarts=2, stage_a=PsoOptions(6, 5), stage_b=PsoOptions(6, 5)
+        )
+        periods = (800e-6, 400e-6, 2400e-6)
+        timings = [
+            (periods, (800e-6, 400e-6, 300e-6)),
+            (periods, (500e-6, 400e-6, 300e-6)),
+            (periods, (800e-6, 250e-6, 300e-6)),
+        ]
+        plant = _mixed_order_plants()[1]
+        inner = [
+            [
+                seg.has_inner_actuation
+                for seg in build_segments(
+                    plant.a, plant.b, list(periods), list(delays)
+                )[:-1]
+            ]
+            for periods, delays in timings
+        ]
+        assert inner == [[False, False], [True, False], [False, True]]
+        requests = [
+            DesignRequest(
+                plant=plant,
+                periods=periods,
+                delays=delays,
+                spec=_SPEC,
+                options=replace(options, seed=options.seed + 31 * i),
+            )
+            for i, (periods, delays) in enumerate(timings)
+        ]
+        batched = design_controllers_batch(requests)
+        for serial, got in zip(_serial_designs(requests), batched):
+            _assert_designs_identical(serial, got)
+
+
+@functools.cache
+def _composition_pool():
+    """Design units over case-study timings from the shortest to the
+    longest hyperperiod, at several horizon factors: their tracking
+    step counts differ widely."""
+    case_study = build_case_study()
+    wcets = [app.wcets for app in case_study.apps]
+    space = sorted(
+        (
+            derive_timing(schedule, wcets, case_study.clock)
+            for schedule in enumerate_idle_feasible(
+                case_study.apps, case_study.clock
+            )
+        ),
+        key=lambda timing: timing.hyperperiod,
+    )
+    return [
+        _stage_a(
+            app.plant,
+            timing.for_app(i).periods,
+            timing.for_app(i).delays,
+            DesignOptions(restarts=1, horizon_factor=factor),
+            app.spec,
+        )
+        for timing in (space[0], space[len(space) // 2], space[-1])
+        for i, app in enumerate(case_study.apps)
+        for factor in (0.5, 2.2, 6.0)
+    ]
+
+
+class TestBatchGainEvaluatorComposition:
+    """A unit's evaluation bits do not depend on which other units share
+    its batch, in what order, or how long their horizons are."""
+
+    def test_pool_step_counts_differ_widely(self):
+        steps = [
+            stage_a.evaluator.plan.n_steps(stage_a.evaluator.horizon)
+            for stage_a in _composition_pool()
+        ]
+        assert max(steps) >= 5 * min(steps)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(st.integers(0, 26), min_size=1, max_size=8),
+        st.integers(1, 5),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_units_match_their_serial_evaluation(self, picks, n_particles, seed):
+        pool = _composition_pool()
+        rng = np.random.default_rng(seed)
+        units = [pool[k] for k in picks]
+        gains = []
+        for stage_a in units:
+            rows = [
+                row
+                for row in map(stage_a.gains_for, _particles(stage_a, 4 * n_particles, rng))
+                if row is not None
+            ][:n_particles]
+            assume(len(rows) == n_particles)
+            gains.append(np.stack(rows))
+        results = BatchGainEvaluator(
+            [stage_a.evaluator for stage_a in units]
+        ).evaluate(gains)
+        for stage_a, unit_gains, result in zip(units, gains, results):
+            expected = stage_a.evaluator.evaluate(unit_gains)
+            for name in (
+                "objective", "settling", "u_peak", "rho", "feedforward", "invalid"
+            ):
+                assert np.array_equal(result[name], expected[name]), name
